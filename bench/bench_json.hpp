@@ -31,6 +31,8 @@ class Json {
     os_ << c << '\n';
     ++depth_;
     first_ = true;
+    // The brace stood in for a keyed value; the first key inside pads.
+    inline_value_ = false;
   }
   void close(char c) {
     --depth_;

@@ -1,5 +1,7 @@
 // Microbenchmarks for the per-message hot paths of a GGD process: the
-// vector-time closure (ComputeV) and the edge-precise reachability walk.
+// vector-time closure (ComputeV from scratch, and the incremental update
+// one received vector message makes) and the edge-precise reachability
+// walk.
 // These bound the CPU cost a site pays per GGD message as structures grow.
 #include <benchmark/benchmark.h>
 
@@ -44,6 +46,30 @@ void BM_ComputeV(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ComputeV)->Range(4, 256)->Complexity();
+
+/// One vector message into the loaded process: the sender's own entry
+/// rises (a monotone change), so receive() updates the cached closure
+/// incrementally — re-expanding the sender's history row alone — where
+/// BM_ComputeV above re-closes over every row. Includes receive()'s
+/// decision walk.
+void BM_ReceiveVector(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  GgdProcess p = make_loaded_process(n);
+  const auto is_root = [](ProcessId) { return false; };
+  std::uint64_t index = n + 2;
+  for (auto _ : state) {
+    GgdMessage m;
+    m.from = P(2);
+    m.to = P(1);
+    m.v.set(P(2), Timestamp::creation(++index));
+    benchmark::DoNotOptimize(p.receive(m, is_root));
+  }
+  if (p.removed()) {
+    state.SkipWithError("the loaded process collected itself");
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_ReceiveVector)->Range(4, 256)->Complexity();
 
 void BM_WalkToRoot(benchmark::State& state) {
   GgdProcess p = make_loaded_process(static_cast<std::size_t>(state.range(0)));

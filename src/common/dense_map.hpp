@@ -15,6 +15,7 @@
 // perturbs a seeded run.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -220,6 +221,79 @@ class DenseSet {
  private:
   struct Unit {};
   DenseMap<K, Unit, Hash> map_;
+};
+
+/// Reusable membership marks for one traversal at a time: `reset()`
+/// starts a new traversal in O(1) by advancing an epoch stamp instead of
+/// clearing slots, so a long-lived scratch instance (a walk's visited
+/// set) costs no allocation or clearing per use once it has grown to the
+/// largest traversal. Linear probing, no erase.
+template <typename K, typename Hash = DenseHash<K>>
+class EpochSet {
+ public:
+  void reset() {
+    if (++epoch_ == 0) {
+      // Stamp wrap-around: only now must old marks really be cleared.
+      std::fill(stamps_.begin(), stamps_.end(), 0u);
+      epoch_ = 1;
+    }
+    size_ = 0;
+  }
+
+  [[nodiscard]] bool contains(const K& key) const {
+    if (stamps_.empty()) {
+      return false;
+    }
+    std::size_t idx = Hash{}(key) & (stamps_.size() - 1);
+    while (stamps_[idx] == epoch_) {
+      if (keys_[idx] == key) {
+        return true;
+      }
+      idx = (idx + 1) & (stamps_.size() - 1);
+    }
+    return false;
+  }
+
+  /// True when newly marked in this traversal.
+  bool insert(const K& key) {
+    if ((size_ + 1) * 2 > stamps_.size()) {
+      grow();
+    }
+    std::size_t idx = Hash{}(key) & (stamps_.size() - 1);
+    while (stamps_[idx] == epoch_) {
+      if (keys_[idx] == key) {
+        return false;
+      }
+      idx = (idx + 1) & (stamps_.size() - 1);
+    }
+    stamps_[idx] = epoch_;
+    keys_[idx] = key;
+    ++size_;
+    return true;
+  }
+
+ private:
+  void grow() {
+    std::vector<K> marked;
+    marked.reserve(size_);
+    for (std::size_t i = 0; i < stamps_.size(); ++i) {
+      if (stamps_[i] == epoch_) {
+        marked.push_back(keys_[i]);
+      }
+    }
+    const std::size_t cap = stamps_.empty() ? 32 : stamps_.size() * 2;
+    keys_.assign(cap, K{});
+    stamps_.assign(cap, 0u);
+    size_ = 0;
+    for (const K& key : marked) {
+      insert(key);
+    }
+  }
+
+  std::vector<K> keys_;
+  std::vector<std::uint32_t> stamps_;
+  std::uint32_t epoch_ = 1;
+  std::size_t size_ = 0;
 };
 
 }  // namespace cgc

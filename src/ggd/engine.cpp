@@ -44,6 +44,9 @@ void GgdEngine::attach_obs(obs::Registry* registry, obs::Journal* journal) {
         &registry->counter("ggd.destructions_reemitted");
     metrics_.stubs_reclaimed = &registry->counter("ggd.stubs_reclaimed");
     metrics_.inquiries = &registry->counter("ggd.inquiries");
+    metrics_.closure_full = &registry->counter("ggd.closure.full");
+    metrics_.closure_incremental =
+        &registry->counter("ggd.closure.incremental");
   } else {
     metrics_ = DetectorMetrics{};
   }
@@ -78,6 +81,15 @@ void GgdEngine::observe_walk(GgdProcess& p, SimTime now) {
                      obs::pack_walk(static_cast<obs::WalkVerdict>(obs.result),
                                     obs.consulted, obs.missing));
   }
+}
+
+void GgdEngine::observe_closure(GgdProcess& p) {
+  const GgdProcess::ClosureCounts counts = p.take_closure_counts();
+  if (metrics_.closure_full == nullptr) {
+    return;
+  }
+  metrics_.closure_full->inc(counts.full);
+  metrics_.closure_incremental->inc(counts.incremental);
 }
 
 void GgdEngine::attach_site(SiteId site) {
@@ -165,6 +177,7 @@ void GgdEngine::local_acquire(ProcessId j, ProcessId k) {
     // new edge. Idempotent and unordered — not the race-prone eager
     // control message of §2.3.
     deliver_ggd(process(j).make_announce(k));
+    observe_closure(process(j));
   }
 }
 
@@ -418,6 +431,7 @@ void GgdEngine::on_ggd_message(const GgdMessage& msg) {
       deliver_ggd(target.make_destruction_message(msg.from));
     } else {
       deliver_ggd(target.make_reply(msg.from));
+      observe_closure(target);
     }
     return;
   }
@@ -430,6 +444,7 @@ void GgdEngine::on_ggd_message(const GgdMessage& msg) {
       target.receive(msg, [this](ProcessId p) { return root_flag(p); },
                      net_.simulator().now());
   observe_walk(target, net_.simulator().now());
+  observe_closure(target);
   if (!was_removed && target.removed()) {
     removed_.push_back(msg.to);
     target.retire_tombstone();

@@ -438,6 +438,8 @@ class GgdEngine : public wire::Mailbox {
     obs::Counter* destructions_reemitted = nullptr;
     obs::Counter* stubs_reclaimed = nullptr;
     obs::Counter* inquiries = nullptr;
+    obs::Counter* closure_full = nullptr;
+    obs::Counter* closure_incremental = nullptr;
   };
   DetectorMetrics metrics_;
   obs::Journal* journal_ = nullptr;
@@ -447,6 +449,9 @@ class GgdEngine : public wire::Mailbox {
   /// Records the observation of the decision walk `p` just ran (metrics +
   /// journal verdict record). No-op when observability is not attached.
   void observe_walk(GgdProcess& p, SimTime now);
+  /// Adds the vector-time closure updates `p` ran since the last call to
+  /// the full/incremental counters. No-op when no registry is attached.
+  void observe_closure(GgdProcess& p);
 };
 
 }  // namespace cgc

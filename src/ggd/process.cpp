@@ -1,10 +1,12 @@
 #include "ggd/process.hpp"
 
 #include <algorithm>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/dense_map.hpp"
 
 namespace cgc {
 
@@ -49,6 +51,38 @@ bool adopt_row(RowTable& rows, ProcessId subject,
   return false;
 }
 
+/// Visits the union of up to three sorted rows as one merged row: each id
+/// once, in increasing order, with the Timestamp::merge of the entries the
+/// rows hold for it — DependencyVector::merge without the copy. Absent
+/// rows read as empty.
+template <typename Fn>
+void for_each_merged(RowTable::RowView a, RowTable::RowView b,
+                     RowTable::RowView c, Fn&& fn) {
+  RowTable::EntryIterator it[3] = {a.begin(), b.begin(), c.begin()};
+  const RowTable::EntryIterator end[3] = {a.end(), b.end(), c.end()};
+  while (true) {
+    bool any = false;
+    ProcessId q;
+    for (int i = 0; i < 3; ++i) {
+      if (it[i] != end[i] && (!any || (*it[i]).first < q)) {
+        q = (*it[i]).first;
+        any = true;
+      }
+    }
+    if (!any) {
+      return;
+    }
+    Timestamp ts;
+    for (int i = 0; i < 3; ++i) {
+      if (it[i] != end[i] && (*it[i]).first == q) {
+        ts = Timestamp::merge(ts, (*it[i]).second);
+        ++it[i];
+      }
+    }
+    fn(q, ts);
+  }
+}
+
 }  // namespace
 
 std::vector<GgdMessage> GgdProcess::receive(
@@ -76,6 +110,14 @@ std::vector<GgdMessage> GgdProcess::receive(
   // about a collected process will never be consulted again.
   for (ProcessId q : msg.dead) {
     if (q != id_ && dead_.insert(q).second) {
+      // Dead processes are elided from V. A Δ entry of q only ever came
+      // from the seed and fed nothing, so it just goes; a live one was
+      // expanded, and withdrawing its history is not monotone.
+      if (live_in_closure(q)) {
+        closure_stale_ = true;
+      } else {
+        closure_v_.set(q, Timestamp{});
+      }
       history_.erase(q);
       known_rows_.erase(q);
       row_rev_.erase(q);
@@ -118,7 +160,7 @@ std::vector<GgdMessage> GgdProcess::receive(
     // fresh account as of now — record the arrival time so an unreachable
     // verdict that began pending earlier may rest on it.
     confirm_time_[m] = now;
-    history_.row(m).merge(msg.v);
+    merge_history(m, msg.v);
     if (msg.has_out_edges && msg.out_edges.contains(id_)) {
       // The responder vouches that it currently holds us: its in-edge
       // claim is delivery-confirmed up to the slot's present index.
@@ -182,7 +224,7 @@ std::vector<GgdMessage> GgdProcess::receive(
       resurrected_.erase(m);
     }
     log_.self_row().merge_entry(m, vm);
-    history_.row(m).merge(msg.v);
+    merge_history(m, msg.v);
   }
 
   if (dead_.contains(m)) {
@@ -209,7 +251,7 @@ std::vector<GgdMessage> GgdProcess::receive(
     }
   }
 
-  const DependencyVector v = compute_v();
+  const DependencyVector& v = vector_time();
 
   std::vector<GgdMessage> out;
   if (!(v == last_v_)) {
@@ -627,38 +669,42 @@ GgdProcess::WalkResult GgdProcess::walk_to_root(
     const std::function<bool(ProcessId)>& is_root,
     FlatSet<ProcessId>& missing, FlatSet<ProcessId>& root_evidence,
     FlatSet<ProcessId>& consulted) const {
-  FlatSet<ProcessId> visited{id_};
+  // Visited marks are per-thread scratch, reset in O(1) per walk (a walk
+  // never re-enters another: is_root only reads a flag).
+  static thread_local EpochSet<ProcessId> visited;
+  visited.reset();
+  visited.insert(id_);
   // Stack of (process, subject of the row that contributed it); the
   // invalid id marks entries contributed by our own self row.
   std::vector<std::pair<ProcessId, ProcessId>> stack;
   bool reachable = false;
   bool blocked = false;
-  // Generic over DependencyVector and RowTable::RowView: both yield
-  // (ProcessId, Timestamp) pairs from entries() in increasing-id order.
-  auto push_live_slots = [&](const auto& row, ProcessId source) {
-    for (const auto& [q, ts] : row.entries()) {
-      if (ts.is_delta() || ts.destroyed() || visited.contains(q)) {
-        continue;
-      }
-      if (dead_.contains(q)) {
-        // A LIVE slot of a collected process: the corpse's final
-        // destruction bundle — which atomically carries its deferred
-        // on-behalf grants (§3.4) — has not been processed at the row's
-        // owner yet, so the row is mid-update: a rescue grant the corpse
-        // deferred may still be in flight. Death certificates travel
-        // faster than bundles (they relay on every message); concluding
-        // "all paths dead" here removes a live process (found by
-        // scenario fuzzing). Block; inquiring the slot's subject fetches
-        // the bundle posthumously for our own row, and a replica owner's
-        // refreshed row arrives via the usual confirmation round.
-        missing.insert(source.valid() ? source : q);
-        blocked = true;
-        continue;
-      }
-      stack.emplace_back(q, source);
+  // One entry of a walked row: a live, unvisited slot is pushed, unless
+  // its holder is dead, which blocks the walk.
+  auto push_live_slot = [&](ProcessId q, Timestamp ts, ProcessId source) {
+    if (ts.is_delta() || visited.contains(q)) {
+      return;
     }
+    if (dead_.contains(q)) {
+      // A LIVE slot of a collected process: the corpse's final
+      // destruction bundle — which atomically carries its deferred
+      // on-behalf grants (§3.4) — has not been processed at the row's
+      // owner yet, so the row is mid-update: a rescue grant the corpse
+      // deferred may still be in flight. Death certificates travel
+      // faster than bundles (they relay on every message); concluding
+      // "all paths dead" here removes a live process (found by
+      // scenario fuzzing). Block; inquiring the slot's subject fetches
+      // the bundle posthumously for our own row, and a replica owner's
+      // refreshed row arrives via the usual confirmation round.
+      missing.insert(source.valid() ? source : q);
+      blocked = true;
+      return;
+    }
+    stack.emplace_back(q, source);
   };
-  push_live_slots(log_.self_row(), ProcessId{});
+  for (const auto& [q, ts] : log_.self_row().entries()) {
+    push_live_slot(q, ts, ProcessId{});
+  }
   while (!stack.empty()) {
     const auto [q, source] = stack.back();
     stack.pop_back();
@@ -686,7 +732,7 @@ GgdProcess::WalkResult GgdProcess::walk_to_root(
       }
       continue;
     }
-    if (!visited.insert(q).second) {
+    if (!visited.insert(q)) {
       continue;
     }
     // The subject's replica row, overlaid with OUR deferred on-behalf
@@ -699,37 +745,22 @@ GgdProcess::WalkResult GgdProcess::walk_to_root(
     // carries the dropper's own counter, which supersedes the per-slot
     // behalf index in the merge.
     const RowTable::RowView replica = std::as_const(known_rows_).row(q);
-    const DvLog::RowView behalf = std::as_const(log_).row(q);
-    const RowTable::RowView deferred = std::as_const(known_behalf_).row(q);
-    const bool overlay = !behalf.empty() || deferred.exists();
     if (!replica.exists()) {
       // Unknown predecessor: cannot prove this path dead. Conservatively
       // blocked until q's row arrives — but deferred grants already known
       // here (ours or relayed) still contribute live continuations.
       missing.insert(q);
       blocked = true;
-      if (overlay) {
-        DependencyVector view = behalf;
-        if (deferred.exists()) {
-          view.merge(deferred);
-        }
-        push_live_slots(view, q);
-      }
-      continue;
-    }
-    consulted.insert(q);
-    if (!overlay) {
-      // Common case: no deferred-grant overlay — walk the stored replica
-      // in place, no copies.
-      push_live_slots(replica, q);
     } else {
-      DependencyVector view = replica;
-      view.merge(behalf);
-      if (deferred.exists()) {
-        view.merge(deferred);
-      }
-      push_live_slots(view, q);
+      consulted.insert(q);
     }
+    // The overlay is merged on the fly, entry by entry, in increasing id
+    // order — the order a materialized merge would be walked in.
+    for_each_merged(replica, std::as_const(log_).row(q),
+                    std::as_const(known_behalf_).row(q),
+                    [&](ProcessId p, Timestamp ts) {
+                      push_live_slot(p, ts, q);
+                    });
   }
   if (reachable) {
     return WalkResult::kReachable;
@@ -737,59 +768,172 @@ GgdProcess::WalkResult GgdProcess::walk_to_root(
   return blocked ? WalkResult::kBlocked : WalkResult::kUnreachable;
 }
 
-DependencyVector GgdProcess::compute_v() const {
+void GgdProcess::seed_closure(DependencyVector& v,
+                              std::vector<ProcessId>& stack) const {
   // Seed with the self row *including* destruction markers: a marker E(t)
-  // occupies its slot with numeric index t, so the closure below can only
+  // occupies its slot with numeric index t, so the closure can only
   // replace it with a strictly newer creation entry — this is what the
   // paper's figures show circulating. (The garbage decision itself uses
   // the edge-precise walk above, not this aggregate.)
-  //
-  // Worklist closure rather than the paper's literal recursion: expanding
-  // each known process's history exactly once computes the same transitive
-  // merge while terminating on cyclic global root graphs — the structures
-  // this algorithm exists to collect.
-  DependencyVector v;
+  v = DependencyVector{};
   for (const auto& [q, ts] : log_.self_row().entries()) {
     // Self-row entries of dead processes are elided: a collected process
     // has no outgoing edges, so the edge it once held to us is gone even
     // if its destruction message was lost.
     if (q == id_ || !dead_.contains(q)) {
       v.set(q, ts);
+      if (q != id_ && !ts.is_delta()) {
+        stack.push_back(q);
+      }
     }
   }
-  std::vector<ProcessId> stack;
-  FlatSet<ProcessId> expanded{id_};
-  for (const auto& [q, ts] : v.entries()) {
-    if (q != id_ && !ts.is_delta()) {
-      stack.push_back(q);
-    }
-  }
+}
+
+void GgdProcess::close_over_histories(DependencyVector& v,
+                                      std::vector<ProcessId>& stack) const {
+  // Worklist closure rather than the paper's literal recursion: it computes
+  // the same transitive merge while terminating on cyclic global root
+  // graphs — the structures this algorithm exists to collect. Contributions
+  // are live creation entries only and an entry that turned live stays
+  // live, so the result is the least fixpoint whatever the order.
   while (!stack.empty()) {
     const ProcessId p = stack.back();
     stack.pop_back();
-    if (!expanded.insert(p).second) {
-      continue;
-    }
-    const RowTable::RowView hist = std::as_const(history_).row(p);
-    if (!hist.exists()) {
-      continue;
-    }
-    for (const auto& [q, alpha] : hist) {
-      if (q == p || q == id_ || alpha.is_delta() || dead_.contains(q)) {
+    for (const auto& [q, alpha] : std::as_const(history_).row(p)) {
+      if (q == p || q == id_ || alpha.is_delta()) {
         // Destruction markers inside a history describe edges of *that*
-        // process, not ours; entries of dead processes contribute nothing.
+        // process, not ours.
         continue;
       }
       const Timestamp cur = v.get(q);
-      if (alpha.index() > cur.index()) {
-        v.set(q, alpha);
-        stack.push_back(q);
-      } else if (alpha.index() == cur.index() && !cur.destroyed()) {
+      if (alpha.index() <= cur.index() || dead_.contains(q)) {
+        // Entries of dead processes contribute nothing.
+        continue;
+      }
+      v.set(q, alpha);
+      if (cur.is_delta()) {
         stack.push_back(q);
       }
     }
   }
+}
+
+DependencyVector GgdProcess::compute_v() const {
+  DependencyVector v;
+  std::vector<ProcessId> stack;
+  seed_closure(v, stack);
+  close_over_histories(v, stack);
   return v;
+}
+
+bool GgdProcess::absorb_seed_changes(std::vector<ProcessId>& stack,
+                                     bool& changed) {
+  // One sorted merge of the snapshot against the live self row.
+  const RowTable::RowView now = std::as_const(log_).self_row();
+  auto a = closure_seed_.cbegin();
+  const auto a_end = closure_seed_.cend();
+  auto b = now.begin();
+  const auto b_end = now.end();
+  while (a != a_end || b != b_end) {
+    ProcessId q;
+    Timestamp before;
+    Timestamp after;
+    if (b == b_end || (a != a_end && a->first < (*b).first)) {
+      q = a->first;
+      before = RowTable::unpack((a++)->second);
+    } else if (a == a_end || (*b).first < a->first) {
+      std::tie(q, after) = *b;
+      ++b;
+    } else {
+      q = a->first;
+      before = RowTable::unpack((a++)->second);
+      after = (*b).second;
+      ++b;
+    }
+    if (before == after) {
+      continue;
+    }
+    changed = true;
+    if (q == id_) {
+      // The own entry is copied, never closed over.
+      closure_v_.set(id_, after);
+      continue;
+    }
+    if (dead_.contains(q)) {
+      continue;  // elided from the seed either way
+    }
+    if (after.is_delta() || after.index() <= before.index()) {
+      return false;  // destruction, refutation or masking: not monotone
+    }
+    const Timestamp cur = closure_v_.get(q);
+    if (after.index() > cur.index()) {
+      closure_v_.set(q, after);
+      if (cur.is_delta()) {
+        stack.push_back(q);
+      }
+    }
+  }
+  return true;
+}
+
+void GgdProcess::merge_history(ProcessId p,
+                               const DependencyVector& incoming) {
+  // A subject not live in V contributes nothing yet; if it turns live
+  // later it is expanded from its history as it is then.
+  if (!closure_stale_ && live_in_closure(p)) {
+    // Only a destruction marker can lower a merged entry: one that
+    // supersedes a live entry withdraws p's contribution for that slot.
+    const RowTable::RowView row = std::as_const(history_).row(p);
+    bool lowers = false;
+    for (const auto& [q, ts] : incoming.entries()) {
+      if (ts.destroyed() && q != p && q != id_) {
+        const Timestamp old = row.get(q);
+        if (!old.is_delta() && ts.index() >= old.index()) {
+          lowers = true;
+          break;
+        }
+      }
+    }
+    if (lowers) {
+      closure_stale_ = true;
+    } else {
+      closure_dirty_.push_back(p);
+    }
+  }
+  history_.row(p).merge(incoming);
+}
+
+const DependencyVector& GgdProcess::vector_time() {
+  std::vector<ProcessId> stack;
+  bool seed_changed = false;
+  const bool incremental =
+      !closure_stale_ && absorb_seed_changes(stack, seed_changed);
+  if (incremental) {
+    for (ProcessId p : closure_dirty_) {
+      if (live_in_closure(p)) {
+        stack.push_back(p);
+      }
+    }
+  } else {
+    stack.clear();
+    seed_closure(closure_v_, stack);
+    seed_changed = true;
+  }
+  close_over_histories(closure_v_, stack);
+  if (seed_changed) {
+    const RowTable::RowView self = std::as_const(log_).self_row();
+    closure_seed_.clear();
+    closure_seed_.reserve(self.size());
+    for (const auto& [q, ts] : self) {
+      closure_seed_.emplace_back(q, RowTable::pack(ts));
+    }
+  }
+  closure_dirty_.clear();
+  closure_stale_ = false;
+  if (observed_) {
+    ++(incremental ? closure_counts_.incremental : closure_counts_.full);
+  }
+  return closure_v_;
 }
 
 bool GgdProcess::reachable_from_root(
@@ -824,10 +968,10 @@ GgdMessage GgdProcess::make_announce(ProcessId to) {
   GgdMessage msg;
   msg.from = id_;
   msg.to = to;
-  // Always freshly computed: a cached approximation may predate the very
-  // acquisition this announce reports, and an announce whose vector lacks
-  // a live slot for its own sender tells the target nothing.
-  msg.v = compute_v();
+  // Always brought up to date first: a stale approximation may predate
+  // the very acquisition this announce reports, and an announce whose
+  // vector lacks a live slot for its own sender tells the target nothing.
+  msg.v = vector_time();
   msg.self_row = log_.self_row();
   msg.behalf = log_.row(to);
   msg.dead = dead_;
@@ -839,7 +983,7 @@ GgdMessage GgdProcess::make_reply(ProcessId to) {
   GgdMessage msg;
   msg.from = id_;
   msg.to = to;
-  msg.v = compute_v();
+  msg.v = vector_time();
   msg.self_row = log_.self_row();
   msg.behalf = log_.row(to);
   // The full deferred on-behalf knowledge rides along: the inquirer's
@@ -920,6 +1064,8 @@ void GgdProcess::import_state(const GgdProcessSnapshot& snap) {
   in_edge_confirmed_ = snap.in_edge_confirmed;
   last_v_ = snap.last_v;
   forward_pending_ = snap.forward_pending;
+  closure_stale_ = true;
+  closure_dirty_.clear();
   // Decision-gating state resumes unchanged: the forwarding stub chases
   // in-flight replies here, so outstanding inquiries stay answerable, and
   // verification epochs are stamped in global sim time. A gate stranded
@@ -972,6 +1118,10 @@ void GgdProcess::retire_tombstone() {
   // clears the flag itself when the owed flush fires.
   acquaintances_.release();
   last_v_ = DependencyVector{};
+  closure_v_ = DependencyVector{};
+  std::vector<std::pair<ProcessId, std::uint64_t>>().swap(closure_seed_);
+  std::vector<ProcessId>().swap(closure_dirty_);
+  closure_stale_ = true;
   // Wire-live remainder (make_destruction_message, attach_sync,
   // apply_row_acks): frozen content, tight-packed in place.
   log_.shrink_to_fit();
@@ -1029,7 +1179,9 @@ GgdProcess::StorageFootprint GgdProcess::storage_footprint() const {
                  map64(resurrect_fact_index_) + map64(refuted_fact_ceiling_) +
                  map64(inquired_version_) + map64(confirm_time_) +
                  map64(in_edge_confirmed_) + map64(acquaintances_) +
-                 map64(last_v_.entries());
+                 map64(last_v_.entries()) + map64(closure_v_.entries()) +
+                 map64(closure_seed_) +
+                 closure_dirty_.capacity() * sizeof(ProcessId);
   return f;
 }
 

@@ -211,8 +211,33 @@ class GgdProcess {
   /// process's latest log-keeping event derivable from the local log alone.
   /// Seeded with the self row (destruction markers included — they act as
   /// floors that prevent stale third-party rows from resurrecting masked
-  /// entries), then closed transitively over the log's rows.
+  /// entries), then closed transitively over the certified histories.
+  /// Always recomputed from scratch: the reference the cached closure
+  /// (`vector_time`) is tested against.
   [[nodiscard]] DependencyVector compute_v() const;
+
+  /// The same V, kept between calls and brought up to date from what
+  /// changed since the last closure: self-row entries that rose and the
+  /// history rows of live subjects that a message extended. Any
+  /// non-monotone change (the death of a process live in V, a self-row
+  /// entry falling to Δ or to a lower index, a live history entry turning
+  /// Δ, a decertified row, an imported snapshot, a retired tombstone)
+  /// recomputes from scratch instead. Equal to
+  /// compute_v() at every call (tested on every event of seeded runs).
+  [[nodiscard]] const DependencyVector& vector_time();
+
+  /// Closure updates run since the last take, split by kind (full
+  /// recomputes vs incremental updates). Passive: counted only while
+  /// observed, and never read by protocol code.
+  struct ClosureCounts {
+    std::uint32_t full = 0;
+    std::uint32_t incremental = 0;
+  };
+  [[nodiscard]] ClosureCounts take_closure_counts() {
+    const ClosureCounts out = closure_counts_;
+    closure_counts_ = ClosureCounts{};
+    return out;
+  }
 
   /// True iff `v` contains at least one live (non-Δ) entry of an actual
   /// root — the paper's `∃k : ¬Δ(V[k]) ∧ root(V[k])`.
@@ -246,6 +271,9 @@ class GgdProcess {
     return history_.contains(q);
   }
   void decertify_row(ProcessId q) {
+    if (live_in_closure(q)) {
+      closure_stale_ = true;  // q's history stops contributing to V
+    }
     history_.erase(q);
     known_rows_.erase(q);
     // Keep the revision map aligned with known_rows_ (hard invariant): a
@@ -478,6 +506,30 @@ class GgdProcess {
   [[nodiscard]] const FlatSet<ProcessId>& dead() const { return dead_; }
 
  private:
+  /// Full closure: re-seeds `v` from the self row (dead holders elided)
+  /// and pushes every subject whose seeded entry is live.
+  void seed_closure(DependencyVector& v, std::vector<ProcessId>& stack) const;
+  /// The one closure routine. Expands each pushed subject's certified
+  /// history into `v` (the newer index wins) and pushes a subject exactly
+  /// when its entry first turns live — at a fixpoint the pushed subjects
+  /// are precisely the live entries of `v` other than this process, so no
+  /// visited set is needed and an update may resume from a cached `v`.
+  void close_over_histories(DependencyVector& v,
+                            std::vector<ProcessId>& stack) const;
+  /// Applies the self-row changes since the last closure to the cached V,
+  /// pushing the subjects they turned live. Returns false when a change
+  /// is non-monotone (the cached V must be recomputed). Sets `changed`
+  /// when the self row differs from the snapshot at all.
+  bool absorb_seed_changes(std::vector<ProcessId>& stack, bool& changed);
+  /// Merges `incoming` into history_[p] — the only write that extends a
+  /// history — and tells the cached closure: p is re-expanded at the next
+  /// update if it is live in V, or V is recomputed if the merge turns one
+  /// of p's live entries Δ.
+  void merge_history(ProcessId p, const DependencyVector& incoming);
+  [[nodiscard]] bool live_in_closure(ProcessId q) const {
+    return q != id_ && !closure_v_.get(q).is_delta();
+  }
+
   /// Merges announced edge facts (bundled or per-message behalf entries)
   /// into the self row with conservative resurrection of entries that an
   /// older destruction marker would otherwise mask.
@@ -584,6 +636,18 @@ class GgdProcess {
   FlatMap<ProcessId, std::uint64_t> in_edge_confirmed_;
   bool forward_pending_ = false;
   DependencyVector last_v_;
+  /// ---- Cached closure (vector_time). Derived state, never serialized.
+  /// `closure_seed_` is the self row as of the last closure, timestamps
+  /// packed as in RowTable: diffing it against the live self row catches
+  /// writes made from outside this class (the log-keeping rules write
+  /// log().self_row() directly).
+  DependencyVector closure_v_;
+  std::vector<std::pair<ProcessId, std::uint64_t>> closure_seed_;
+  /// Live-in-V subjects whose history rows gained entries since the last
+  /// closure (re-expanded by the next update).
+  std::vector<ProcessId> closure_dirty_;
+  bool closure_stale_ = true;
+  ClosureCounts closure_counts_;
   FlatSet<ProcessId> acquaintances_;
   bool removed_ = false;
   /// ---- Delta row-relay state (NOT serialized in GgdProcessSnapshot).

@@ -171,6 +171,7 @@ struct ReplayCtx {
   ReplayVerdict* verdict = nullptr;
   Placement* placement = nullptr;
   Simulator* sim = nullptr;
+  const std::function<void(SiteNode&)>* after_input = nullptr;
   ReachabilityOracle oracle;
   std::vector<std::unique_ptr<SiteNode>> nodes;
   std::vector<std::unique_ptr<PacketAssembler>> assemblers;
@@ -227,6 +228,9 @@ struct ReplayCtx {
     if (rec.flushed) {
       check_outbound(s, rec.seq);
     }
+    if (*after_input) {
+      (*after_input)(node);
+    }
   }
 
   void feed_oracle(const MutatorOp& op) {
@@ -277,8 +281,9 @@ struct ReplayCtx {
 
 }  // namespace
 
-ReplayVerdict replay_threaded(const std::vector<MutatorOp>& ops,
-                              const ThreadedRun& run) {
+ReplayVerdict replay_threaded(
+    const std::vector<MutatorOp>& ops, const ThreadedRun& run,
+    const std::function<void(SiteNode&)>& after_input) {
   ReplayVerdict verdict;
   Placement placement(run.num_sites, ops);
   Simulator sim;
@@ -288,6 +293,7 @@ ReplayVerdict replay_threaded(const std::vector<MutatorOp>& ops,
   ctx.verdict = &verdict;
   ctx.placement = &placement;
   ctx.sim = &sim;
+  ctx.after_input = &after_input;
   ctx.expected.resize(run.num_sites);
   ctx.next_expected.assign(run.num_sites, 0);
   ctx.removed_by_site.resize(run.num_sites);

@@ -115,8 +115,11 @@ struct ReplayVerdict {
 };
 
 /// Deterministic re-execution of a recorded run (see file comment).
-[[nodiscard]] ReplayVerdict replay_threaded(const std::vector<MutatorOp>& ops,
-                                            const ThreadedRun& run);
+/// `after_input`, when set, is called with the executing site's node after
+/// every replayed input — each one a quiescent point of that site.
+[[nodiscard]] ReplayVerdict replay_threaded(
+    const std::vector<MutatorOp>& ops, const ThreadedRun& run,
+    const std::function<void(SiteNode&)>& after_input = {});
 
 /// Single-threaded passivity mode: runs `workload` on the pre-existing
 /// simulator stack with a wire trace attached and returns the trace. The

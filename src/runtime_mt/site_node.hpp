@@ -111,6 +111,14 @@ class SiteNode {
   [[nodiscard]] std::uint64_t clock() const { return clock_; }
   [[nodiscard]] SiteId site() const { return site_; }
   [[nodiscard]] std::size_t process_count() const { return procs_.size(); }
+  /// Visits every hosted process, collected ones included (tests check
+  /// per-process invariants between two inputs).
+  template <typename Fn>
+  void for_each_process(Fn&& fn) {
+    for (GgdProcess& p : procs_) {
+      fn(p);
+    }
+  }
 
  private:
   [[nodiscard]] GgdProcess& process(ProcessId id) {

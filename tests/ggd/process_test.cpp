@@ -270,5 +270,137 @@ TEST(GgdProcess, AnnounceCarriesFreshVector) {
   EXPECT_FALSE(ann.reply);
 }
 
+// ---- Cached vector time: one test per fallback trigger -------------------
+
+/// P4 holding a live in-edge from P3, whose certified history names P2 and
+/// P5 — all three live in V. Observed, so closure updates are counted.
+void closure_fixture(GgdProcess& p) {
+  p.set_observed(true);
+  DependencyVector v3;
+  v3.set(P(2), Timestamp::creation(1));
+  v3.set(P(3), Timestamp::creation(1));
+  v3.set(P(5), Timestamp::creation(2));
+  (void)p.receive(vector_msg(P(3), P(4), v3, v3), roots({1}));
+  ASSERT_FALSE(p.vector_time().get(P(2)).is_delta());
+  (void)p.take_closure_counts();
+}
+
+/// Brings the cached V up to date, checks it against a fresh closure and
+/// returns the updates run since the fixture (including receive()'s own).
+GgdProcess::ClosureCounts settle(GgdProcess& p) {
+  EXPECT_EQ(p.vector_time(), p.compute_v());
+  return p.take_closure_counts();
+}
+
+TEST(GgdProcessClosure, MonotoneRisesUpdateIncrementally) {
+  GgdProcess p(P(4), false);
+  closure_fixture(p);
+  p.log().self_row().increment(P(6));  // a write from outside the class
+  DependencyVector v3;
+  v3.set(P(3), Timestamp::creation(2));
+  v3.set(P(7), Timestamp::creation(1));  // P3's history gains P7
+  (void)p.receive(vector_msg(P(3), P(4), v3, v3), roots({1}));
+  const GgdProcess::ClosureCounts c = settle(p);
+  EXPECT_EQ(c.full, 0u);
+  EXPECT_EQ(c.incremental, 2u);
+  EXPECT_FALSE(p.vector_time().get(P(6)).is_delta());
+  EXPECT_FALSE(p.vector_time().get(P(7)).is_delta());
+}
+
+TEST(GgdProcessClosure, DeathOfALiveEntryRecomputes) {
+  GgdProcess p(P(4), false);
+  closure_fixture(p);
+  DependencyVector v3;
+  v3.set(P(3), Timestamp::creation(1));
+  GgdMessage m = vector_msg(P(3), P(4), v3, v3);
+  m.dead.insert(P(2));
+  (void)p.receive(m, roots({1}));
+  EXPECT_EQ(settle(p).full, 1u);
+  EXPECT_EQ(p.vector_time().get(P(2)), Timestamp{});
+}
+
+TEST(GgdProcessClosure, DeathOfAnUnmentionedProcessStaysIncremental) {
+  GgdProcess p(P(4), false);
+  closure_fixture(p);
+  DependencyVector v3;
+  v3.set(P(3), Timestamp::creation(1));
+  GgdMessage m = vector_msg(P(3), P(4), v3, v3);
+  m.dead.insert(P(9));
+  (void)p.receive(m, roots({1}));
+  EXPECT_EQ(settle(p).full, 0u);
+}
+
+TEST(GgdProcessClosure, SelfRowFallingToDeltaRecomputes) {
+  GgdProcess p(P(4), false);
+  closure_fixture(p);
+  DependencyVector d;
+  d.set(P(3), Timestamp::destruction(2));  // P3 drops its edge to P4
+  (void)p.receive(vector_msg(P(3), P(4), d), roots({1}));
+  EXPECT_EQ(settle(p).full, 1u);
+  EXPECT_TRUE(p.vector_time().get(P(3)).is_delta());
+  EXPECT_EQ(p.vector_time().get(P(2)), Timestamp{});
+}
+
+TEST(GgdProcessClosure, RefutationRecomputes) {
+  GgdProcess p(P(4), false);
+  closure_fixture(p);
+  DependencyVector v3;
+  v3.set(P(3), Timestamp::creation(1));
+  GgdMessage reply = vector_msg(P(3), P(4), v3, v3);
+  reply.reply = true;
+  reply.has_out_edges = true;  // ... and P4 is not among them
+  (void)p.receive(reply, roots({1}));
+  ASSERT_TRUE(p.log().self_row().get(P(3)).destroyed());
+  EXPECT_EQ(settle(p).full, 1u);
+}
+
+TEST(GgdProcessClosure, SelfRowFallingToALowerIndexRecomputes) {
+  GgdProcess p(P(4), false);
+  closure_fixture(p);
+  p.log().self_row().set(P(3), Timestamp::creation(3));
+  EXPECT_EQ(settle(p).full, 0u);
+  p.log().self_row().set(P(3), Timestamp::creation(2));
+  EXPECT_EQ(settle(p).full, 1u);
+}
+
+TEST(GgdProcessClosure, HistoryEntryTurningDeltaRecomputes) {
+  GgdProcess p(P(4), false);
+  closure_fixture(p);
+  DependencyVector v3;
+  v3.set(P(2), Timestamp::destruction(2));  // P3 lost its P2 history
+  v3.set(P(3), Timestamp::creation(2));
+  (void)p.receive(vector_msg(P(3), P(4), v3, v3), roots({1}));
+  EXPECT_EQ(settle(p).full, 1u);
+  EXPECT_EQ(p.vector_time().get(P(2)), Timestamp{});
+  EXPECT_FALSE(p.vector_time().get(P(5)).is_delta());
+}
+
+TEST(GgdProcessClosure, DecertifiedRowRecomputes) {
+  GgdProcess p(P(4), false);
+  closure_fixture(p);
+  p.decertify_row(P(3));
+  EXPECT_EQ(settle(p).full, 1u);
+  EXPECT_EQ(p.vector_time().get(P(5)), Timestamp{});
+}
+
+TEST(GgdProcessClosure, ImportedStateRecomputes) {
+  GgdProcess p(P(4), false);
+  closure_fixture(p);
+  p.import_state(p.export_state());
+  EXPECT_EQ(settle(p).full, 1u);
+}
+
+TEST(GgdProcessClosure, RetiredTombstoneRecomputes) {
+  GgdProcess p(P(4), false);
+  closure_fixture(p);
+  DependencyVector d;
+  d.set(P(3), Timestamp::destruction(2));
+  (void)p.receive(vector_msg(P(3), P(4), d), roots({1}));
+  ASSERT_TRUE(p.removed());
+  (void)p.take_closure_counts();
+  p.retire_tombstone();
+  EXPECT_EQ(settle(p).full, 1u);
+}
+
 }  // namespace
 }  // namespace cgc
